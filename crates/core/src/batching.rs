@@ -85,8 +85,18 @@ impl BatchingResult {
     }
 }
 
+/// Safety valve on batching-simulation events: a run still busy after
+/// this many events panics rather than return a truncated result.
+pub const MAX_BATCH_EVENTS: u64 = 10_000_000;
+
 /// Run the batch-and-bisect pipeline over a workload.
 pub fn simulate_batching(workload: &Workload, config: &BatchingConfig) -> BatchingResult {
+    batch_capped(workload, config, MAX_BATCH_EVENTS)
+}
+
+/// [`simulate_batching`] under an explicit event cap. Panics if the run
+/// has not drained by then.
+fn batch_capped(workload: &Workload, config: &BatchingConfig, max_events: u64) -> BatchingResult {
     assert!(config.max_batch >= 1 && config.workers >= 1);
     let mut sim = Batcher {
         workload,
@@ -107,8 +117,11 @@ pub fn simulate_batching(workload: &Workload, config: &BatchingConfig) -> Batchi
     for (i, c) in workload.changes.iter().enumerate() {
         queue.schedule(c.submit_time, BatchEvent::Arrival(i));
     }
-    let outcome = run_des(&mut sim, &mut queue, 10_000_000);
-    debug_assert!(outcome.drained, "batching simulation hit the event cap");
+    let outcome = run_des(&mut sim, &mut queue, max_events);
+    assert!(
+        outcome.drained,
+        "batching simulation hit the {max_events}-event cap with changes unresolved"
+    );
     BatchingResult {
         records: sim.records,
         commits: sim.commits,
@@ -306,6 +319,14 @@ mod tests {
                 ..BatchingConfig::default()
             },
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "cap with changes unresolved")]
+    fn a_run_that_hits_the_event_cap_fails_instead_of_truncating() {
+        let w = workload(200.0, 50, 1);
+        // 50 arrivals alone exceed a 10-event cap.
+        batch_capped(&w, &BatchingConfig::default(), 10);
     }
 
     #[test]

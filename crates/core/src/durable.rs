@@ -1,34 +1,36 @@
 //! Durable SubmitQueue: every externally visible state transition is
-//! journaled to `sq-store` *before* it is acknowledged, so a process
-//! death at any instant loses nothing that was acked and half-applies
-//! nothing that was torn.
+//! journaled to `sq-store` *before* it is applied, so a process death
+//! at any instant loses nothing that was acked, half-applies nothing
+//! that was torn, and never shows a reader a verdict the journal lacks.
 //!
 //! The paper's SubmitQueue is a long-running service; its value is a
 //! standing guarantee about mainline state, which a restart must not
-//! void. This module wraps [`SubmitQueueService`] with:
+//! void. This module puts [`SubmitQueueService`] on a write-ahead log:
 //!
 //! * [`ServiceEvent`] — the journal vocabulary: enqueue, speculation
 //!   start/abort, build verdict, commit, reject, quarantine. One journal
 //!   record carries one *batch* of events (a whole transition), so a
 //!   torn append loses the transition atomically rather than leaving a
 //!   half-recorded verdict.
-//! * [`DurableState`] — the replayable mirror: the fold of all events,
-//!   snapshotted between batches and reconstructed on open as
-//!   `snapshot ⊕ journal suffix`.
+//! * [`DurableState`] — the service's queue state itself: the fold of
+//!   all events, snapshotted between batches and reconstructed on open
+//!   as `snapshot ⊕ journal suffix`. There is no second copy to keep in
+//!   step; the service changes its state only by folding a batch.
 //! * [`DurableSubmitQueue`] — the wrapper enforcing write-ahead order
-//!   (journal, then apply, then ack) and recovering via
-//!   [`SubmitQueueService::restore_from`].
+//!   (journal, then fold, then ack) for enqueues and verdicts alike,
+//!   and recovering by starting the service from the folded state.
 //!
 //! Crash consistency around the one external side effect — the VCS
 //! commit — leans on idempotence rather than two-phase commit: if the
 //! process dies after `commit_patch` but before the verdict batch is
-//! journaled, recovery finds the change still pending and reprocesses
-//! it; the rebase then absorbs the patch (it is already in HEAD), the
-//! repository reports [`VcsError::EmptyCommit`](sq_vcs::VcsError), and
-//! the service lands the ticket at the existing commit — converging to
-//! byte-identical state with no double commit.
+//! journaled, the state never folded the verdict, so the dead handle
+//! still reports the change queued and recovery finds it pending and
+//! reprocesses it; the rebase then absorbs the patch (it is already in
+//! HEAD), the repository reports [`VcsError::EmptyCommit`](sq_vcs::VcsError),
+//! and the service lands the ticket at the existing commit — converging
+//! to byte-identical state with no double commit.
 
-use crate::recovery::{RecoveryConfig, RecoveryEvent};
+use crate::recovery::RecoveryConfig;
 use crate::service::{StepAction, SubmitQueueService, TicketId, TicketState};
 use parking_lot::Mutex;
 use sq_obs::{JsonWriter, MetricsRegistry};
@@ -96,8 +98,8 @@ pub enum ServiceEvent {
         ticket: u64,
     },
     /// The speculation attempt ended without a terminal verdict (e.g.
-    /// an infra-red build scheduled for rebuild); the change re-enters
-    /// the queue.
+    /// an infra-red build scheduled for rebuild); the change stays at
+    /// its queue position for another attempt.
     SpeculationAborted {
         /// The change whose attempt aborted.
         ticket: u64,
@@ -353,9 +355,9 @@ pub struct QueuedChange {
     pub patch: Patch,
 }
 
-/// The replayable mirror of [`SubmitQueueService`] state: the fold of
-/// every [`ServiceEvent`] since the beginning of time. This is what
-/// snapshots serialize and what recovery rebuilds.
+/// The [`SubmitQueueService`] queue state: the fold of every
+/// [`ServiceEvent`] since the beginning of time. The service holds the
+/// only copy; snapshots serialize it and recovery rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DurableState {
     /// Next ticket id to assign.
@@ -408,9 +410,9 @@ impl DurableState {
                     patch: patch.clone(),
                 });
             }
-            // Audit-trail events: no durable-state effect. (An aborted
-            // attempt leaves the change exactly where it was — the
-            // mirror never removed it.)
+            // Audit-trail events: no state effect. (A change stays at
+            // its queue position until its verdict, so an aborted
+            // attempt leaves it exactly where it was.)
             ServiceEvent::SpeculationStarted { .. }
             | ServiceEvent::SpeculationAborted { .. }
             | ServiceEvent::BuildVerdict { .. } => {}
@@ -624,30 +626,9 @@ fn corrupt_record(e: CodecError) -> StoreError {
     }
 }
 
-pub(crate) struct StoreCtx<W: Wal> {
-    pub(crate) store: W,
-    pub(crate) state: DurableState,
-    /// How much of the inner service's recovery log has already been
-    /// mapped to journal events.
-    log_cursor: usize,
-}
-
-impl<W: Wal> StoreCtx<W> {
-    /// Journal a batch (write-ahead), then fold it into the mirror.
-    fn journal(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError> {
-        self.store.append(&encode_batch(batch))?;
-        for ev in batch {
-            self.state.apply(ev);
-        }
-        Ok(())
-    }
-
-    fn maybe_snapshot(&mut self) -> Result<(), StoreError> {
-        if self.store.should_snapshot() {
-            self.store.write_snapshot(&self.state.encode())?;
-        }
-        Ok(())
-    }
+/// Append one event batch to `store` as one journal record.
+fn append<W: Wal>(store: &mut W, batch: &[ServiceEvent]) -> Result<(), StoreError> {
+    store.append(&encode_batch(batch)).map(drop)
 }
 
 /// [`SubmitQueueService`] with its state journaled through any
@@ -664,14 +645,17 @@ impl<W: Wal> StoreCtx<W> {
 /// and this node must never serve again under its current epoch.
 pub struct DurableSubmitQueue<W: Wal> {
     service: SubmitQueueService,
-    pub(crate) ctx: Mutex<StoreCtx<W>>,
+    /// The write-ahead log. Held across a whole transition (append,
+    /// fold, snapshot), so journal order is fold order; reads go to the
+    /// service state and never wait on it.
+    pub(crate) store: Mutex<W>,
 }
 
 impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
     /// Open the durable service: recover `snapshot ⊕ journal suffix`
-    /// from `storage`, then restore the in-memory service to exactly
-    /// that state over `repo` (the VCS is the system of record for
-    /// commits and survives independently of this store).
+    /// from `storage` and serve exactly that state over `repo` (the VCS
+    /// is the system of record for commits and survives independently
+    /// of this store).
     pub fn open(
         repo: Repository,
         threads: usize,
@@ -685,9 +669,9 @@ impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
 }
 
 impl<W: Wal> DurableSubmitQueue<W> {
-    /// Rebuild the mirror from a recovery (`snapshot ⊕ journal suffix`)
-    /// and restore the in-memory service to exactly that state — the
-    /// shared tail of every open path (single-node, leader, promotion).
+    /// Fold a recovery (`snapshot ⊕ journal suffix`) into the state the
+    /// service resumes from — the shared tail of every open path
+    /// (single-node, leader, promotion).
     pub(crate) fn from_recovered(
         repo: Repository,
         threads: usize,
@@ -704,16 +688,18 @@ impl<W: Wal> DurableSubmitQueue<W> {
                 state.apply(&ev);
             }
         }
-        let service = SubmitQueueService::with_recovery(repo, threads, recovery);
-        service.restore_from(&state);
         Ok(DurableSubmitQueue {
-            service,
-            ctx: Mutex::new(StoreCtx {
-                store,
-                state,
-                log_cursor: 0,
-            }),
+            service: SubmitQueueService::with_state(repo, threads, recovery, state),
+            store: Mutex::new(store),
         })
+    }
+
+    /// Snapshot the state when the store's cadence asks for one.
+    fn maybe_snapshot(&self, store: &mut W) -> Result<(), StoreError> {
+        if store.should_snapshot() {
+            store.write_snapshot(&self.service.read_state(DurableState::encode))?;
+        }
+        Ok(())
     }
 
     /// Submit a change. The returned ticket is the durable ack: the
@@ -725,91 +711,31 @@ impl<W: Wal> DurableSubmitQueue<W> {
         base: CommitId,
         patch: Patch,
     ) -> Result<TicketId, StoreError> {
-        let (author, description) = (author.into(), description.into());
-        let mut ctx = self.ctx.lock();
-        let ticket = ctx.state.next_ticket;
-        ctx.journal(&[ServiceEvent::Enqueue {
-            ticket,
-            author: author.clone(),
-            description: description.clone(),
+        let mut store = self.store.lock();
+        let ticket = self.service.submit_journaled(
+            author.into(),
+            description.into(),
             base,
-            patch: patch.clone(),
-        }])?;
-        let acked = self.service.submit(author, description, base, patch);
-        assert_eq!(acked.0, ticket, "service and mirror ticket ids in lockstep");
-        ctx.maybe_snapshot()?;
-        Ok(acked)
+            patch,
+            |batch| append(&mut *store, batch),
+        )?;
+        self.maybe_snapshot(&mut store)?;
+        Ok(ticket)
     }
 
     /// Process one queued change end to end, journaling the speculation
-    /// start before the build and the terminal verdict after it.
-    /// Returns the ticket handled, or `None` on an empty queue.
+    /// start before the build and the verdict batch after it; each is
+    /// folded into the service state only once journaled. Returns the
+    /// ticket handled, or `None` on an empty queue.
     pub fn process_next(&self, action: &StepAction) -> Result<Option<TicketId>, StoreError> {
-        let mut ctx = self.ctx.lock();
-        let Some(ticket) = ctx.state.queue.front().map(|q| q.ticket) else {
-            return Ok(None);
-        };
-        ctx.journal(&[ServiceEvent::SpeculationStarted { ticket }])?;
-        let processed = self.service.process_next(action);
-        assert_eq!(
-            processed,
-            Some(TicketId(ticket)),
-            "service and mirror queue fronts in lockstep"
-        );
-
-        // Map the service's recovery decisions (made during this build)
-        // into journal events, then the terminal outcome.
-        let mut batch = Vec::new();
-        let mut infra = false;
-        let log = self.service.recovery_log();
-        for ev in &log[ctx.log_cursor..] {
-            match ev {
-                RecoveryEvent::Rebuild { attempt, fault, .. } => {
-                    batch.push(ServiceEvent::SpeculationAborted {
-                        ticket,
-                        reason: format!("infra-red build; rebuild #{attempt} after {fault}"),
-                    });
-                }
-                RecoveryEvent::Quarantined {
-                    target,
-                    observations,
-                } => batch.push(ServiceEvent::Quarantined {
-                    target: target.clone(),
-                    observations: *observations,
-                }),
-                RecoveryEvent::InfraRejected { .. } => infra = true,
-                RecoveryEvent::StepRetries { .. } => {}
-            }
+        let mut store = self.store.lock();
+        let processed = self
+            .service
+            .process_next_journaled(action, |batch| append(&mut *store, batch))?;
+        if processed.is_some() {
+            self.maybe_snapshot(&mut store)?;
         }
-        ctx.log_cursor = log.len();
-        match self.service.status(TicketId(ticket)) {
-            Some(TicketState::Landed(commit)) => {
-                batch.push(ServiceEvent::BuildVerdict {
-                    ticket,
-                    verdict: Verdict::Pass,
-                    detail: String::new(),
-                });
-                batch.push(ServiceEvent::Committed { ticket, commit });
-            }
-            Some(TicketState::Rejected(reason)) => {
-                batch.push(ServiceEvent::BuildVerdict {
-                    ticket,
-                    verdict: if infra { Verdict::Infra } else { Verdict::Fail },
-                    detail: reason.clone(),
-                });
-                batch.push(ServiceEvent::Rejected {
-                    ticket,
-                    reason,
-                    infra,
-                });
-            }
-            // Still queued: an infra-red rebuild re-queued the change;
-            // the abort event above is the whole story.
-            Some(TicketState::Queued) | None => {}
-        }
-        ctx.journal(&batch)?;
-        ctx.maybe_snapshot()?;
-        Ok(Some(TicketId(ticket)))
+        Ok(processed)
     }
 
     /// Drain the queue. Returns how many process steps ran.
@@ -831,7 +757,7 @@ impl<W: Wal> DurableSubmitQueue<W> {
     /// admission-control signal: past a configured bound it answers
     /// `Busy` instead of journaling another enqueue.
     pub fn queue_depth(&self) -> usize {
-        self.ctx.lock().state.queue.len()
+        self.service.read_state(|s| s.queue.len())
     }
 
     /// Per-shard view of the speculation queue: queued submissions
@@ -843,39 +769,23 @@ impl<W: Wal> DurableSubmitQueue<W> {
     /// the repository root counts as its own directory. Keys are sorted,
     /// so the export is deterministic.
     pub fn queue_depth_by_dir(&self) -> Vec<(String, usize)> {
-        let ctx = self.ctx.lock();
-        let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for q in &ctx.state.queue {
-            let mut dirs: std::collections::BTreeSet<&str> = Default::default();
-            for op in q.patch.ops() {
-                let path = op.path();
-                dirs.insert(path.components().next().unwrap_or(path.as_str()));
+        self.service.read_state(|state| {
+            let mut counts: BTreeMap<String, usize> = Default::default();
+            for q in &state.queue {
+                let mut dirs: std::collections::BTreeSet<&str> = Default::default();
+                for op in q.patch.ops() {
+                    let path = op.path();
+                    dirs.insert(path.components().next().unwrap_or(path.as_str()));
+                }
+                let key = match dirs.len() {
+                    0 => "(none)".to_string(),
+                    1 => dirs.into_iter().next().unwrap().to_string(),
+                    _ => "(cross)".to_string(),
+                };
+                *counts.entry(key).or_default() += 1;
             }
-            let key = match dirs.len() {
-                0 => "(none)".to_string(),
-                1 => dirs.into_iter().next().unwrap().to_string(),
-                _ => "(cross)".to_string(),
-            };
-            *counts.entry(key).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// Assert that every ticket state in the durable mirror matches the
-    /// live service — the lockstep invariant failover re-checks before
-    /// a promoted replica serves. (Head equality is deliberately NOT
-    /// asserted: after a crash between the VCS commit and the verdict
-    /// journal, the repository is legitimately one commit ahead of the
-    /// mirror until recovery reprocesses the pending change.)
-    pub fn assert_mirror_lockstep(&self) {
-        let ctx = self.ctx.lock();
-        for (ticket, state) in &ctx.state.states {
-            assert_eq!(
-                self.service.status(TicketId(*ticket)).as_ref(),
-                Some(state),
-                "mirror and service disagree on ticket {ticket}"
-            );
-        }
+            counts.into_iter().collect()
+        })
     }
 
     /// Current mainline HEAD.
@@ -883,8 +793,8 @@ impl<W: Wal> DurableSubmitQueue<W> {
         self.service.head()
     }
 
-    /// The wrapped service (read-only access to stats, audit log,
-    /// history verification).
+    /// The wrapped service (read-only access to stats and history
+    /// verification).
     pub fn service(&self) -> &SubmitQueueService {
         &self.service
     }
@@ -896,15 +806,15 @@ impl<W: Wal> DurableSubmitQueue<W> {
         self.service.repository()
     }
 
-    /// Deterministic sorted-key JSON export of the durable mirror, for
+    /// Deterministic sorted-key JSON export of the queue state, for
     /// byte-exact state comparison across crash/recovery boundaries.
     pub fn export_state_json(&self) -> String {
-        self.ctx.lock().state.export_json()
+        self.service.read_state(DurableState::export_json)
     }
 
     /// Storage-layer counters (appends, fsyncs, snapshots, replay).
     pub fn store_stats(&self) -> sq_store::StoreStats {
-        *self.ctx.lock().store.stats()
+        *self.store.lock().stats()
     }
 
     /// Record storage counters and recovery gauges into a metrics
@@ -1113,6 +1023,26 @@ mod tests {
             commits_before,
             "recovery must not create a second commit"
         );
+    }
+
+    #[test]
+    fn torn_verdict_batch_is_never_visible() {
+        // The verdict batch (op 3) tears after the build ran — and, for
+        // the landing change, after the VCS commit. The verdict was never
+        // journaled, so the failed handle must not report it: a reader
+        // serving `status` from this handle would otherwise ack a verdict
+        // that recovery then forgets.
+        let always_fail: Box<StepAction> =
+            Box::new(|_step, _tree| StepOutcome::Failure("red".into()));
+        for (label, action) in [("landing", always_pass()), ("failing", always_fail)] {
+            let storage = shared(CrashPlan::at_op(3, CrashKind::Torn));
+            let dq = open(demo_repo(), &storage);
+            let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
+            let err = dq.process_next(&action).unwrap_err();
+            assert!(matches!(err, StoreError::Crashed { .. }), "{label}: {err}");
+            assert_eq!(dq.status(t), Some(TicketState::Queued), "{label} build");
+            assert_eq!(dq.queue_depth(), 1, "{label} build");
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub use lean::{BypassPolicy, LeanConfig, LeanReport, SKIP_MISS_BUDGET};
 pub use pending::{ChangeOutcome, ChangeRecord};
 pub use planner::{run_simulation, PlannerConfig, SimResult};
 pub use predict::{LearnedPredictor, OraclePredictor, Predictor};
-pub use recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog};
+pub use recovery::{QuarantineList, RecoveryConfig};
 pub use scenario::{run_scenario, ScenarioRun, StrategyOutcome};
 pub use service::{HistoryViolation, SubmitQueueService, TicketId, TicketState};
 pub use shard::{LaneStats, PlanningCost, ShardPlan, ShardReport, ShardSpec};

@@ -32,6 +32,10 @@ use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+/// Safety valve on simulation events: a run still busy after this many
+/// events panics rather than return a truncated result.
+pub const MAX_EVENTS: u64 = 50_000_000;
+
 /// Planner configuration.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
@@ -43,8 +47,6 @@ pub struct PlannerConfig {
     pub conflict_analyzer: bool,
     /// Fixed scheduling/fetch overhead added to every build.
     pub build_overhead: SimDuration,
-    /// Safety valve on simulation events.
-    pub max_events: u64,
     /// Section 10 "Change Reordering": when enabled, a change may commit
     /// as soon as its build against the *current* committed prefix
     /// succeeds, even if earlier conflicting changes are still pending —
@@ -143,7 +145,6 @@ impl Default for PlannerConfig {
             workers: 100,
             conflict_analyzer: true,
             build_overhead: SimDuration::from_secs(60),
-            max_events: 50_000_000,
             reorder: false,
             preemption_guard: None,
             epoch: None,
@@ -300,6 +301,18 @@ pub fn run_simulation_observed(
     config: &PlannerConfig,
     obs: &mut Observer,
 ) -> SimResult {
+    run_capped(workload, strategy, config, obs, MAX_EVENTS)
+}
+
+/// [`run_simulation_observed`] under an explicit event cap. Panics if
+/// the run has not drained by then.
+fn run_capped(
+    workload: &Workload,
+    strategy: &Strategy,
+    config: &PlannerConfig,
+    obs: &mut Observer,
+    max_events: u64,
+) -> SimResult {
     // The index-backed analyzer: per-change part bitsets are computed
     // once on admission and served from cache for every later pairwise
     // query (decision-identical to the plain statistical analyzer).
@@ -374,8 +387,11 @@ pub fn run_simulation_observed(
     for (i, c) in workload.changes.iter().enumerate() {
         queue.schedule(c.submit_time, Event::Arrival(i));
     }
-    let outcome = run_des(&mut sim, &mut queue, config.max_events);
-    debug_assert!(outcome.drained, "simulation hit the event safety valve");
+    let outcome = run_des(&mut sim, &mut queue, max_events);
+    assert!(
+        outcome.drained,
+        "simulation hit the {max_events}-event safety valve with changes unresolved"
+    );
     // Fleet-wide utilization: per-pool utilization weighted by lane
     // size (reduces to the single pool's value with one lane).
     let makespan = sim.makespan;
@@ -1165,6 +1181,16 @@ mod tests {
         assert_eq!(r.records.len(), 200);
         assert!(r.committed() > 0);
         assert_eq!(r.committed() + r.rejected(), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "safety valve with changes unresolved")]
+    fn a_run_that_hits_the_event_cap_fails_instead_of_truncating() {
+        let w = workload(100.0, 50, 1);
+        let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
+        let mut obs = Observer::disabled();
+        // 50 arrivals alone exceed a 10-event cap.
+        run_capped(&w, &strategy, &config(50), &mut obs, 10);
     }
 
     #[test]

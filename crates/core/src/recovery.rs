@@ -1,19 +1,19 @@
-//! Infra-failure recovery: rebuild accounting, quarantine of
-//! chronically flaky targets, and the audit log of every recovery
-//! decision.
+//! Infra-failure recovery policy and quarantine of chronically flaky
+//! targets.
 //!
 //! The paper's Section 4 proof of the always-green invariant assumes a
 //! red build implicates the change under test. Infra failures break the
-//! implication, so recovery decisions must themselves be auditable:
-//! every retry, rebuild, quarantine entry, and infra-rejection is
-//! recorded as a [`RecoveryEvent`], and the quarantine list is surfaced
-//! through [`crate::audit`] next to the greenness checks. Determinism is
+//! implication, so recovery decisions must themselves be auditable: the
+//! served queue journals every rebuild, quarantine entry and
+//! infra-rejection as a [`ServiceEvent`](crate::durable::ServiceEvent)
+//! (`SpeculationAborted`, `Quarantined`, `Rejected { infra: true }`),
+//! and the simulator's quarantine list is surfaced through
+//! [`crate::audit`] next to the greenness checks. Determinism is
 //! preserved end to end: faults are seeded, backoff schedules are pure
-//! functions, so two runs with equal seeds produce equal logs.
+//! functions, so two runs with equal seeds make equal decisions.
 
-use sq_exec::{BuildStep, InfraFault, RetryPolicy};
+use sq_exec::RetryPolicy;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// Build-level (as opposed to step-level) infra-recovery policy.
 #[derive(Debug, Clone)]
@@ -46,124 +46,6 @@ impl RecoveryConfig {
             max_rebuilds: 3,
             quarantine_threshold: 3,
         }
-    }
-}
-
-/// One recovery decision, recorded in the audit log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryEvent {
-    /// Step-level infra faults were absorbed by in-place retries during
-    /// one build of `subject`.
-    StepRetries {
-        /// The change (ticket or change id) whose build retried.
-        subject: String,
-        /// How many step attempts were retried.
-        retries: u64,
-    },
-    /// A whole build of `subject` ended infra-red and was scheduled for
-    /// rebuild `attempt` (1-based).
-    Rebuild {
-        /// The change being rebuilt.
-        subject: String,
-        /// Rebuild ordinal.
-        attempt: u32,
-        /// The step whose retries were exhausted.
-        step: BuildStep,
-        /// The final fault observed.
-        fault: InfraFault,
-    },
-    /// A target crossed the flake threshold and entered quarantine.
-    Quarantined {
-        /// The chronically flaky target.
-        target: String,
-        /// Total infra faults observed on it so far.
-        observations: u32,
-    },
-    /// The rebuild budget ran out: the change was rejected for
-    /// infrastructure reasons (explicitly *not* blamed on the change).
-    InfraRejected {
-        /// The rejected change.
-        subject: String,
-        /// Builds attempted in total.
-        attempts: u32,
-    },
-}
-
-impl fmt::Display for RecoveryEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryEvent::StepRetries { subject, retries } => {
-                write!(f, "{subject}: absorbed {retries} step retr(y/ies)")
-            }
-            RecoveryEvent::Rebuild {
-                subject,
-                attempt,
-                step,
-                fault,
-            } => write!(
-                f,
-                "{subject}: rebuild #{attempt} after step '{step}' hit {fault}"
-            ),
-            RecoveryEvent::Quarantined {
-                target,
-                observations,
-            } => write!(f, "quarantined {target} after {observations} infra faults"),
-            RecoveryEvent::InfraRejected { subject, attempts } => write!(
-                f,
-                "{subject}: rejected after {attempts} infra-red builds (infrastructure, \
-                 not the change)"
-            ),
-        }
-    }
-}
-
-/// Append-only log of recovery decisions.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryLog {
-    events: Vec<RecoveryEvent>,
-}
-
-impl RecoveryLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an event.
-    pub fn push(&mut self, event: RecoveryEvent) {
-        self.events.push(event);
-    }
-
-    /// The events, in decision order.
-    pub fn events(&self) -> &[RecoveryEvent] {
-        &self.events
-    }
-
-    /// Total step retries absorbed.
-    pub fn step_retries(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                RecoveryEvent::StepRetries { retries, .. } => *retries,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Whole-build rebuilds scheduled.
-    pub fn rebuilds(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, RecoveryEvent::Rebuild { .. }))
-            .count()
-    }
-
-    /// Changes rejected for infrastructure reasons.
-    pub fn infra_rejections(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, RecoveryEvent::InfraRejected { .. }))
-            .count()
     }
 }
 
@@ -283,31 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn log_counts_by_event_kind() {
-        let mut log = RecoveryLog::new();
-        log.push(RecoveryEvent::StepRetries {
-            subject: "T1".into(),
-            retries: 4,
-        });
-        log.push(RecoveryEvent::StepRetries {
-            subject: "T2".into(),
-            retries: 1,
-        });
-        log.push(RecoveryEvent::Quarantined {
-            target: "//flaky:t".into(),
-            observations: 3,
-        });
-        log.push(RecoveryEvent::InfraRejected {
-            subject: "T9".into(),
-            attempts: 4,
-        });
-        assert_eq!(log.step_retries(), 5);
-        assert_eq!(log.rebuilds(), 0);
-        assert_eq!(log.infra_rejections(), 1);
-        assert_eq!(log.events().len(), 4);
-    }
-
-    #[test]
     fn config_presets() {
         let off = RecoveryConfig::disabled();
         assert_eq!(off.max_rebuilds, 0);
@@ -315,19 +172,5 @@ mod tests {
         let on = RecoveryConfig::standard(5);
         assert!(on.retry.should_retry(1));
         assert!(on.max_rebuilds > 0);
-    }
-
-    #[test]
-    fn events_render_human_readably() {
-        let e = RecoveryEvent::Quarantined {
-            target: "//flaky:t".into(),
-            observations: 3,
-        };
-        assert!(e.to_string().contains("//flaky:t"));
-        let r = RecoveryEvent::InfraRejected {
-            subject: "T4".into(),
-            attempts: 4,
-        };
-        assert!(r.to_string().contains("infrastructure"));
     }
 }

@@ -8,15 +8,23 @@
 //! real build steps with artifact caching, and a change commits only if
 //! every step passes — so the mainline is green at every commit point,
 //! by construction, and `verify_history` re-checks it from scratch.
+//!
+//! The queue, the ticket states and the counters are one
+//! [`DurableState`]: the fold of the [`ServiceEvent`] batches the
+//! service records. Every transition is built as a batch first and
+//! folded second, so a journal (see [`crate::durable`]) can refuse a
+//! batch before anything observes it.
 
-use crate::recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog};
+use crate::durable::{DurableState, QueuedChange, ServiceEvent, Verdict};
+use crate::recovery::{QuarantineList, RecoveryConfig};
 use parking_lot::Mutex;
 use sq_build::affected::SnapshotAnalysis;
 use sq_build::{AffectedSet, TargetName};
 use sq_exec::{ArtifactCache, BuildController, BuildStep, RealExecutor, StepOutcome};
 use sq_vcs::merge::merge_patches;
-use sq_vcs::{CommitId, CommitMeta, Patch, Repository, Tree, VcsError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use sq_vcs::{CommitId, CommitMeta, ObjectStore, Patch, Repository, Tree, VcsError};
+use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Ticket identifying a submitted change.
@@ -44,30 +52,19 @@ pub enum TicketState {
 /// snapshot it runs against. Runs on executor worker threads.
 pub type StepAction = dyn Fn(&BuildStep, &Tree) -> StepOutcome + Send + Sync;
 
-struct Submission {
-    ticket: TicketId,
-    author: String,
-    description: String,
-    /// The mainline commit the patch was developed against.
-    base: CommitId,
-    patch: Patch,
-}
-
 struct Inner {
     repo: Repository,
-    queue: VecDeque<Submission>,
-    states: HashMap<TicketId, TicketState>,
-    next_ticket: u64,
-    landed: u64,
-    rejected: u64,
+    /// Queue, ticket states and counters: the fold of every recorded
+    /// event batch.
+    state: DurableState,
     /// Infra-red whole-build attempts, per ticket.
     rebuilds: HashMap<TicketId, u32>,
     /// Per-target flake accounting.
     quarantine: QuarantineList<TargetName>,
-    /// Every recovery decision, in order.
-    log: RecoveryLog,
-    /// Changes rejected for infrastructure (not change) reasons.
-    infra_rejected: u64,
+    /// Step-level infra retries absorbed without failing a build.
+    step_retries: u64,
+    /// Whole-build rebuilds scheduled after infra-red builds.
+    infra_rebuilds: u64,
 }
 
 /// The service.
@@ -146,6 +143,22 @@ pub struct ServiceStats {
     pub quarantined: usize,
 }
 
+/// The verdict pair rejecting `ticket`.
+fn rejection(ticket: u64, reason: String, infra: bool) -> Vec<ServiceEvent> {
+    vec![
+        ServiceEvent::BuildVerdict {
+            ticket,
+            verdict: if infra { Verdict::Infra } else { Verdict::Fail },
+            detail: reason.clone(),
+        },
+        ServiceEvent::Rejected {
+            ticket,
+            reason,
+            infra,
+        },
+    ]
+}
+
 impl SubmitQueueService {
     /// Wrap a repository; `threads` sizes the build executor. Infra
     /// failures are not retried (the change sees them directly); use
@@ -163,18 +176,35 @@ impl SubmitQueueService {
     /// green invariant is never weakened; the list is surfaced for
     /// operators via [`SubmitQueueService::quarantined_targets`]).
     pub fn with_recovery(repo: Repository, threads: usize, recovery: RecoveryConfig) -> Self {
+        Self::with_state(repo, threads, recovery, DurableState::new())
+    }
+
+    /// [`SubmitQueueService::with_recovery`] resuming from `state`, the
+    /// fold of a recovered journal. The repository is taken as is:
+    /// commits live in the VCS, which recovers independently.
+    pub(crate) fn with_state(
+        repo: Repository,
+        threads: usize,
+        recovery: RecoveryConfig,
+        state: DurableState,
+    ) -> Self {
+        let mut quarantine = QuarantineList::new(recovery.quarantine_threshold);
+        for (target, observations) in &state.quarantined {
+            // Quarantined events journal canonical `//pkg:name` labels,
+            // which always re-resolve; a malformed label would mean a
+            // corrupt journal, which decoding already rejected.
+            if let Ok(name) = TargetName::resolve(target, "") {
+                quarantine.restore(name, *observations);
+            }
+        }
         SubmitQueueService {
             inner: Mutex::new(Inner {
                 repo,
-                queue: VecDeque::new(),
-                states: HashMap::new(),
-                next_ticket: 1,
-                landed: 0,
-                rejected: 0,
+                state,
                 rebuilds: HashMap::new(),
-                quarantine: QuarantineList::new(recovery.quarantine_threshold),
-                log: RecoveryLog::new(),
-                infra_rejected: 0,
+                quarantine,
+                step_retries: 0,
+                infra_rebuilds: 0,
             }),
             controller: BuildController::with_retry_policy(threads, recovery.retry),
             executor: RealExecutor::new(threads),
@@ -195,42 +225,9 @@ impl SubmitQueueService {
         self.inner.lock().repo.clone()
     }
 
-    /// Reset the queue, ticket states, counters, and quarantine list to
-    /// a recovered [`DurableState`](crate::durable::DurableState) — the
-    /// restore half of crash recovery. Must run before any submissions;
-    /// the repository is *not* touched (commits live in the VCS, which
-    /// recovers independently).
-    pub(crate) fn restore_from(&self, state: &crate::durable::DurableState) {
-        let mut inner = self.inner.lock();
-        debug_assert!(inner.queue.is_empty() && inner.states.is_empty());
-        inner.next_ticket = state.next_ticket.max(1);
-        inner.landed = state.landed;
-        inner.rejected = state.rejected;
-        inner.infra_rejected = state.infra_rejected;
-        inner.states = state
-            .states
-            .iter()
-            .map(|(t, s)| (TicketId(*t), s.clone()))
-            .collect();
-        inner.queue = state
-            .queue
-            .iter()
-            .map(|q| Submission {
-                ticket: TicketId(q.ticket),
-                author: q.author.clone(),
-                description: q.description.clone(),
-                base: q.base,
-                patch: q.patch.clone(),
-            })
-            .collect();
-        for (target, observations) in &state.quarantined {
-            // Quarantined events journal canonical `//pkg:name` labels,
-            // which always re-resolve; a malformed label would mean a
-            // corrupt journal, which decoding already rejected.
-            if let Ok(name) = TargetName::resolve(target, "") {
-                inner.quarantine.restore(name, *observations);
-            }
-        }
+    /// Read the queue state under the service lock.
+    pub(crate) fn read_state<R>(&self, read: impl FnOnce(&DurableState) -> R) -> R {
+        read(&self.inner.lock().state)
     }
 
     /// Submit a change: a patch made against `base` (usually the HEAD the
@@ -243,22 +240,45 @@ impl SubmitQueueService {
         patch: Patch,
     ) -> TicketId {
         let mut inner = self.inner.lock();
-        let ticket = TicketId(inner.next_ticket);
-        inner.next_ticket += 1;
-        inner.states.insert(ticket, TicketState::Queued);
-        inner.queue.push_back(Submission {
+        let ticket = inner.state.next_ticket;
+        inner.state.apply(&ServiceEvent::Enqueue {
             ticket,
             author: author.into(),
             description: description.into(),
             base,
             patch,
         });
-        ticket
+        TicketId(ticket)
+    }
+
+    /// [`SubmitQueueService::submit`] with the enqueue handed to
+    /// `journal` before it is folded. The caller serializes its journaled
+    /// calls, so the ticket read here is still the next one at the fold.
+    pub(crate) fn submit_journaled<E>(
+        &self,
+        author: String,
+        description: String,
+        base: CommitId,
+        patch: Patch,
+        journal: impl FnOnce(&[ServiceEvent]) -> Result<(), E>,
+    ) -> Result<TicketId, E> {
+        let ticket = self.inner.lock().state.next_ticket;
+        self.record(
+            &[ServiceEvent::Enqueue {
+                ticket,
+                author,
+                description,
+                base,
+                patch,
+            }],
+            journal,
+        )?;
+        Ok(TicketId(ticket))
     }
 
     /// The state of a change (the service's second API call).
     pub fn status(&self, ticket: TicketId) -> Option<TicketState> {
-        self.inner.lock().states.get(&ticket).cloned()
+        self.inner.lock().state.states.get(&ticket.0).cloned()
     }
 
     /// Process one queued change end to end. Returns the ticket handled,
@@ -266,168 +286,178 @@ impl SubmitQueueService {
     ///
     /// Pipeline: rebase (three-way merge onto the current HEAD) →
     /// affected-target analysis → real builds of every affected target →
-    /// commit on success.
+    /// commit on success. One processor at a time: the change stays at
+    /// the queue front until its verdict is folded.
     pub fn process_next(&self, action: &StepAction) -> Option<TicketId> {
-        // Take the submission under the lock, then build outside it so
-        // parallel status queries stay responsive.
-        let (submission, base_tree, head, head_tree, store) = {
-            let mut inner = self.inner.lock();
-            let submission = inner.queue.pop_front()?;
-            let base_tree = match inner.repo.tree_at(submission.base) {
-                Ok(t) => t,
-                Err(e) => {
-                    let ticket = submission.ticket;
-                    self.reject_locked(&mut inner, ticket, format!("bad base: {e}"));
-                    return Some(ticket);
-                }
-            };
-            let head = inner.repo.head();
-            let head_tree = inner.repo.head_tree().expect("mainline readable");
-            let store = inner.repo.store().clone();
-            (submission, base_tree, head, head_tree, store)
+        let Ok(processed) = self.process_next_journaled(action, |_| Ok::<(), Infallible>(()));
+        processed
+    }
+
+    /// [`SubmitQueueService::process_next`], handing each event batch to
+    /// `journal` before folding it: first the speculation start, then
+    /// the verdict batch (quarantine entries, a rebuild abort, and the
+    /// verdict with its commit or rejection). A batch the journal
+    /// refuses is never folded, so `status` never shows it.
+    pub(crate) fn process_next_journaled<E>(
+        &self,
+        action: &StepAction,
+        mut journal: impl FnMut(&[ServiceEvent]) -> Result<(), E>,
+    ) -> Result<Option<TicketId>, E> {
+        let Some(change) = self.inner.lock().state.queue.front().cloned() else {
+            return Ok(None);
         };
-        let ticket = submission.ticket;
+        let ticket = change.ticket;
+        self.record(&[ServiceEvent::SpeculationStarted { ticket }], &mut journal)?;
+        let verdict = self.attempt(action, &change);
+        self.record(&verdict, &mut journal)?;
+        Ok(Some(TicketId(ticket)))
+    }
+
+    /// Hand `batch` to `journal`, then fold it into the state.
+    fn record<E>(
+        &self,
+        batch: &[ServiceEvent],
+        journal: impl FnOnce(&[ServiceEvent]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        journal(batch)?;
+        let mut inner = self.inner.lock();
+        for event in batch {
+            inner.state.apply(event);
+        }
+        Ok(())
+    }
+
+    /// One attempt at `change`, returning its verdict batch. An empty
+    /// batch or a lone rebuild abort leaves the change queued for
+    /// another attempt. The only side effect outside the service state
+    /// is the VCS commit of a passing change.
+    fn attempt(&self, action: &StepAction, change: &QueuedChange) -> Vec<ServiceEvent> {
+        let ticket = change.ticket;
+        // Read what the build needs under the lock, then build outside
+        // it so parallel status queries stay responsive.
+        let (base_tree, head, head_tree, mut store) = {
+            let inner = self.inner.lock();
+            let base_tree = match inner.repo.tree_at(change.base) {
+                Ok(t) => t,
+                Err(e) => return rejection(ticket, format!("bad base: {e}"), false),
+            };
+            let head_tree = inner.repo.head_tree().expect("mainline readable");
+            (
+                base_tree,
+                inner.repo.head(),
+                head_tree,
+                inner.repo.store().clone(),
+            )
+        };
 
         // 1. Rebase: merge the patch with what landed since its base.
-        let rebased = match self.rebase(&submission, &base_tree, &head_tree, store.clone()) {
+        let rebased = match rebase(&change.patch, &base_tree, &head_tree, &store) {
             Ok(p) => p,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("merge conflict: {e}"));
-                return Some(ticket);
-            }
+            Err(e) => return rejection(ticket, format!("merge conflict: {e}"), false),
         };
 
         // 2. Analyze: affected targets of the rebased patch on HEAD.
-        let mut store = store;
         let base_analysis = match SnapshotAnalysis::analyze(&head_tree, &store) {
             Ok(a) => a,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("HEAD unanalyzable: {e}"));
-                return Some(ticket);
-            }
+            Err(e) => return rejection(ticket, format!("HEAD unanalyzable: {e}"), false),
         };
         let new_tree = match rebased.apply(&head_tree, &mut store) {
             Ok(t) => t,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("patch failed to apply: {e}"));
-                return Some(ticket);
-            }
+            Err(e) => return rejection(ticket, format!("patch failed to apply: {e}"), false),
         };
         let new_analysis = match SnapshotAnalysis::analyze(&new_tree, &store) {
             Ok(a) => a,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("build graph broken: {e}"));
-                return Some(ticket);
-            }
+            Err(e) => return rejection(ticket, format!("build graph broken: {e}"), false),
         };
         let delta = AffectedSet::between(&base_analysis, &new_analysis);
 
         // 3. Build every affected target for real (incremental via the
         // controller's artifact cache + duration history).
-        let tree_for_action = new_tree.clone();
         let report = self.controller.execute_affected(
             &new_analysis.graph,
             &new_analysis.hashes,
             &delta,
-            |step| action(step, &tree_for_action),
+            |step| action(step, &new_tree),
         );
-        {
-            let mut inner = self.inner.lock();
-            // Flake accounting: every infra event — recovered or not —
-            // counts toward the per-target quarantine threshold.
-            for (step, _fault) in &report.exec.infra_events {
-                if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
-                    inner.log.push(RecoveryEvent::Quarantined {
-                        target: step.target.to_string(),
-                        observations,
-                    });
-                }
-            }
-            if report.exec.infra_retries > 0 {
-                inner.log.push(RecoveryEvent::StepRetries {
-                    subject: ticket.to_string(),
-                    retries: report.exec.infra_retries,
+        let mut inner = self.inner.lock();
+        let mut batch = Vec::new();
+        // Flake accounting: every infra event — recovered or not —
+        // counts toward the per-target quarantine threshold.
+        for (step, _fault) in &report.exec.infra_events {
+            if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
+                batch.push(ServiceEvent::Quarantined {
+                    target: step.target.to_string(),
+                    observations,
                 });
             }
-            if let Some((step, fault)) = report.exec.infra_failure {
-                // Infra-red: the build says nothing about the change.
-                // Rebuild up to the policy bound instead of rejecting;
-                // successful steps are already cached, so the rebuild
-                // only redoes what the fault interrupted.
-                let attempts = inner.rebuilds.entry(ticket).or_insert(0);
-                *attempts += 1;
-                let attempt = *attempts;
-                if attempt <= self.recovery.max_rebuilds {
-                    inner.log.push(RecoveryEvent::Rebuild {
-                        subject: ticket.to_string(),
-                        attempt,
-                        step,
-                        fault,
-                    });
-                    inner.queue.push_front(submission);
-                } else {
-                    inner.log.push(RecoveryEvent::InfraRejected {
-                        subject: ticket.to_string(),
-                        attempts: attempt,
-                    });
-                    inner.infra_rejected += 1;
-                    self.reject_locked(
-                        &mut inner,
-                        ticket,
-                        format!(
-                            "infrastructure failure (change not at fault): step '{step}' \
-                             hit {fault} after {attempt} build(s)"
-                        ),
-                    );
-                }
-                return Some(ticket);
-            }
-            if let Some((step, reason)) = report.exec.failure {
-                self.reject_locked(
-                    &mut inner,
-                    ticket,
-                    format!("build step '{step}' failed: {reason}"),
-                );
-                return Some(ticket);
-            }
-            // 4. Commit — but only if HEAD did not move underneath us
-            // (single-threaded processing here; the check keeps the
-            // invariant explicit).
-            if inner.repo.head() != head {
-                // Retry by re-queueing at the front with the same base.
-                inner.queue.push_front(submission);
-                return Some(ticket);
-            }
-            let meta = CommitMeta::new(
-                submission.author.clone(),
-                format!("[{}] {}", ticket, submission.description),
-                0,
-            );
-            match inner
-                .repo
-                .commit_patch(sq_vcs::repo::MAINLINE, &rebased, meta)
-            {
-                Ok(commit) => {
-                    inner.states.insert(ticket, TicketState::Landed(commit));
-                    inner.landed += 1;
-                }
-                Err(VcsError::EmptyCommit) => {
-                    // The rebase absorbed the patch entirely (someone
-                    // landed the same edit): treat as landed at HEAD.
-                    let head = inner.repo.head();
-                    inner.states.insert(ticket, TicketState::Landed(head));
-                    inner.landed += 1;
-                }
-                Err(e) => {
-                    self.reject_locked(&mut inner, ticket, format!("commit failed: {e}"));
-                }
-            }
         }
-        Some(ticket)
+        inner.step_retries += report.exec.infra_retries;
+        if let Some((step, fault)) = report.exec.infra_failure {
+            // Infra-red: the build says nothing about the change.
+            // Rebuild up to the policy bound instead of rejecting;
+            // successful steps are already cached, so the rebuild only
+            // redoes what the fault interrupted.
+            let attempts = inner.rebuilds.entry(TicketId(ticket)).or_insert(0);
+            *attempts += 1;
+            let attempt = *attempts;
+            if attempt <= self.recovery.max_rebuilds {
+                inner.infra_rebuilds += 1;
+                batch.push(ServiceEvent::SpeculationAborted {
+                    ticket,
+                    reason: format!("infra-red build; rebuild #{attempt} after {fault}"),
+                });
+            } else {
+                batch.extend(rejection(
+                    ticket,
+                    format!(
+                        "infrastructure failure (change not at fault): step '{step}' \
+                         hit {fault} after {attempt} build(s)"
+                    ),
+                    true,
+                ));
+            }
+            return batch;
+        }
+        if let Some((step, reason)) = report.exec.failure {
+            batch.extend(rejection(
+                ticket,
+                format!("build step '{step}' failed: {reason}"),
+                false,
+            ));
+            return batch;
+        }
+        // 4. Commit — but only if HEAD did not move underneath us (one
+        // processor at a time here; the check keeps the invariant
+        // explicit). A moved HEAD leaves the change queued for a retry
+        // with the same base.
+        if inner.repo.head() != head {
+            return batch;
+        }
+        let meta = CommitMeta::new(
+            change.author.clone(),
+            format!("[{}] {}", TicketId(ticket), change.description),
+            0,
+        );
+        let commit = match inner
+            .repo
+            .commit_patch(sq_vcs::repo::MAINLINE, &rebased, meta)
+        {
+            Ok(commit) => commit,
+            // The rebase absorbed the patch entirely (someone landed the
+            // same edit): treat as landed at HEAD.
+            Err(VcsError::EmptyCommit) => inner.repo.head(),
+            Err(e) => {
+                batch.extend(rejection(ticket, format!("commit failed: {e}"), false));
+                return batch;
+            }
+        };
+        batch.push(ServiceEvent::BuildVerdict {
+            ticket,
+            verdict: Verdict::Pass,
+            detail: String::new(),
+        });
+        batch.push(ServiceEvent::Committed { ticket, commit });
+        batch
     }
 
     /// Drain the queue.
@@ -439,69 +469,21 @@ impl SubmitQueueService {
         processed
     }
 
-    fn rebase(
-        &self,
-        submission: &Submission,
-        base_tree: &Tree,
-        head_tree: &Tree,
-        store: sq_vcs::ObjectStore,
-    ) -> Result<Patch, VcsError> {
-        // Mainline drift since the base = a synthetic patch transforming
-        // base_tree into head_tree; merge the developer patch with it.
-        let mut drift = Patch::new();
-        for path in base_tree.changed_paths(head_tree) {
-            match head_tree.get(path) {
-                Some(blob) => {
-                    let content = store
-                        .get_text(&blob)
-                        .ok_or_else(|| VcsError::MissingObject(blob.to_hex()))?;
-                    drift.push(sq_vcs::FileOp::Write {
-                        path: path.clone(),
-                        content,
-                    });
-                }
-                None => drift.push(sq_vcs::FileOp::Delete { path: path.clone() }),
-            }
-        }
-        let merged = merge_patches(base_tree, &store, &drift, &submission.patch)?;
-        // The drift part is already in HEAD; restrict to paths the
-        // developer touched (their ops after merging with the drift).
-        let mut rebased = Patch::new();
-        let dev_paths: HashSet<&sq_vcs::RepoPath> = submission.patch.paths().collect();
-        for op in merged.ops() {
-            if dev_paths.contains(op.path()) {
-                rebased.push(op.clone());
-            }
-        }
-        Ok(rebased)
-    }
-
-    fn reject_locked(&self, inner: &mut Inner, ticket: TicketId, reason: String) {
-        inner.states.insert(ticket, TicketState::Rejected(reason));
-        inner.rejected += 1;
-    }
-
     /// Service counters.
     pub fn stats(&self) -> ServiceStats {
         let cs = self.controller.cache_stats();
         let inner = self.inner.lock();
         ServiceStats {
-            landed: inner.landed,
-            rejected: inner.rejected,
-            queued: inner.queue.len(),
+            landed: inner.state.landed,
+            rejected: inner.state.rejected,
+            queued: inner.state.queue.len(),
             cache_hits: cs.hits,
             cache_misses: cs.misses,
-            step_retries: inner.log.step_retries(),
-            infra_rebuilds: inner.log.rebuilds() as u64,
-            infra_rejected: inner.infra_rejected,
+            step_retries: inner.step_retries,
+            infra_rebuilds: inner.infra_rebuilds,
+            infra_rejected: inner.state.infra_rejected,
             quarantined: inner.quarantine.len(),
         }
-    }
-
-    /// The recovery audit log: every step-retry, rebuild, quarantine,
-    /// and infra-rejection decision, in order.
-    pub fn recovery_log(&self) -> Vec<RecoveryEvent> {
-        self.inner.lock().log.events().to_vec()
     }
 
     /// Targets quarantined as chronically flaky. Advisory: quarantined
@@ -590,6 +572,44 @@ impl SubmitQueueService {
         }
         Ok(verified)
     }
+}
+
+/// Rebase `patch` from `base_tree` onto `head_tree`: merge it with the
+/// mainline drift in between, keeping only the paths the patch touches.
+fn rebase(
+    patch: &Patch,
+    base_tree: &Tree,
+    head_tree: &Tree,
+    store: &ObjectStore,
+) -> Result<Patch, VcsError> {
+    // Mainline drift since the base = a synthetic patch transforming
+    // base_tree into head_tree; merge the developer patch with it.
+    let mut drift = Patch::new();
+    for path in base_tree.changed_paths(head_tree) {
+        match head_tree.get(path) {
+            Some(blob) => {
+                let content = store
+                    .get_text(&blob)
+                    .ok_or_else(|| VcsError::MissingObject(blob.to_hex()))?;
+                drift.push(sq_vcs::FileOp::Write {
+                    path: path.clone(),
+                    content,
+                });
+            }
+            None => drift.push(sq_vcs::FileOp::Delete { path: path.clone() }),
+        }
+    }
+    let merged = merge_patches(base_tree, store, &drift, patch)?;
+    // The drift part is already in HEAD; restrict to paths the
+    // developer touched (their ops after merging with the drift).
+    let mut rebased = Patch::new();
+    let dev_paths: HashSet<&sq_vcs::RepoPath> = patch.paths().collect();
+    for op in merged.ops() {
+        if dev_paths.contains(op.path()) {
+            rebased.push(op.clone());
+        }
+    }
+    Ok(rebased)
 }
 
 #[cfg(test)]
@@ -854,6 +874,19 @@ mod tests {
         assert!(shown.contains("bugzone"), "display: {shown}");
     }
 
+    /// Drain the queue, collecting every event batch the service hands
+    /// its journal (the seam the durable queue appends through).
+    fn drain_recording(service: &SubmitQueueService, action: &StepAction) -> Vec<ServiceEvent> {
+        let mut events = Vec::new();
+        while let Ok(Some(_)) =
+            service.process_next_journaled(action, |batch: &[ServiceEvent]| {
+                events.extend_from_slice(batch);
+                Ok::<(), Infallible>(())
+            })
+        {}
+        events
+    }
+
     #[test]
     fn infra_red_build_is_rebuilt_not_rejected() {
         use sq_exec::{InfraFault, InfraFaultKind, RetryPolicy};
@@ -883,15 +916,35 @@ mod tests {
                 StepOutcome::Success
             }
         });
-        service.run_until_idle(&action);
+        let events = drain_recording(&service, &action);
         assert!(matches!(service.status(t), Some(TicketState::Landed(_))));
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (1, 0));
         assert_eq!(stats.infra_rebuilds, 1);
-        let log = service.recovery_log();
-        assert!(log
+        // One aborted attempt, rebuilt, then the verdict of the second.
+        let aborts: Vec<&str> = events
             .iter()
-            .any(|e| matches!(e, RecoveryEvent::Rebuild { attempt: 1, .. })));
+            .filter_map(|e| match e {
+                ServiceEvent::SpeculationAborted { ticket, reason } if *ticket == t.0 => {
+                    Some(reason.as_str())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborts.len(), 1, "events = {events:?}");
+        assert!(aborts[0].contains("rebuild #1"), "reason = {}", aborts[0]);
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, ServiceEvent::SpeculationStarted { .. }))
+            .count();
+        assert_eq!(starts, 2);
+        assert!(matches!(
+            events.last(),
+            Some(ServiceEvent::Committed { ticket, .. }) if *ticket == t.0
+        ));
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, ServiceEvent::Rejected { .. })));
     }
 
     #[test]
@@ -916,7 +969,7 @@ mod tests {
                 attempt: 1,
             })
         });
-        service.run_until_idle(&action);
+        let events = drain_recording(&service, &action);
         match service.status(t) {
             Some(TicketState::Rejected(reason)) => {
                 assert!(reason.contains("infrastructure"), "reason = {reason}");
@@ -928,11 +981,31 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.infra_rejected, 1);
         assert_eq!(stats.infra_rebuilds, 1); // one redo, then gave up
+        let aborts = events
+            .iter()
+            .filter(|e| matches!(e, ServiceEvent::SpeculationAborted { .. }))
+            .count();
+        assert_eq!(aborts, 1, "events = {events:?}");
+        // The rejection blames infrastructure, in the verdict and in the
+        // rejection itself.
+        let tail = &events[events.len() - 2..];
+        assert!(
+            matches!(
+                tail,
+                [
+                    ServiceEvent::BuildVerdict {
+                        verdict: Verdict::Infra,
+                        ..
+                    },
+                    ServiceEvent::Rejected { infra: true, .. },
+                ]
+            ),
+            "events = {events:?}"
+        );
         assert_eq!(
-            service
-                .recovery_log()
+            events
                 .iter()
-                .filter(|e| matches!(e, RecoveryEvent::InfraRejected { .. }))
+                .filter(|e| matches!(e, ServiceEvent::Rejected { .. }))
                 .count(),
             1
         );
@@ -967,6 +1040,7 @@ mod tests {
                 StepOutcome::Success
             }
         });
+        let mut events = Vec::new();
         for i in 0..2 {
             let base = service.head();
             service.submit(
@@ -978,7 +1052,7 @@ mod tests {
                     format!("pub fn l() {{ /* q{i} */ }}"),
                 ),
             );
-            service.run_until_idle(&action);
+            events.extend(drain_recording(&service, &action));
         }
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (2, 0));
@@ -987,13 +1061,21 @@ mod tests {
         let quarantined = service.quarantined_targets();
         assert_eq!(quarantined.len(), 1);
         assert!(quarantined[0].to_string().contains("//lib"));
-        assert!(service.recovery_log().iter().any(|e| matches!(
-            e,
-            RecoveryEvent::Quarantined {
-                observations: 2,
-                ..
-            }
-        )));
+        let entries: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                ServiceEvent::Quarantined {
+                    target,
+                    observations,
+                } => Some((target.as_str(), *observations)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(entries, vec![("//lib:lib", 2)], "events = {events:?}");
+        // Retried flakes never abort an attempt.
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, ServiceEvent::SpeculationAborted { .. })));
         // Quarantine is advisory: the audit still verifies everything.
         assert!(service.verify_history(&always_pass()).is_ok());
     }

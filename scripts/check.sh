@@ -62,7 +62,7 @@ step "cargo fmt --check" \
 
 step "cargo clippy --workspace --all-targets -- -D warnings (vendor stand-ins excluded)" \
   cargo clippy --workspace --all-targets \
-    --exclude bytes --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude bytes --exclude crossbeam --exclude parking_lot \
     --exclude proptest --exclude rand --exclude serde --exclude serde_derive \
     --exclude serde_json \
     -- -D warnings
@@ -80,6 +80,13 @@ smoke bench_replication "zero-loss gate: seeded failover, byte-identical state v
 smoke bench_server "serving layer: zero lost acks across graceful drain/restart, byte-identical rerun"
 smoke bench_shard "sharded planner: always-green, zero wrongful per lane, sharded >= single-queue, byte-identical rerun"
 smoke bench_lean "lean ablation: every cell green, zero wrongful rejections, all-on wastes less than baseline, byte-identical rerun"
+
+# The wall-clock benchmark (BENCHMARK.json) builds against these crates
+# by path from its own workspace: run it tiny so a serving-path change
+# that breaks its build or one of its checks (serve.no_lost_acks,
+# serve.matches_reference, ...) fails here, not in a later benchmark run.
+step "perfbench --self-test (wall-clock benchmark: builds, every metric present, every check passes)" \
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
 
 summary
 echo "All checks passed."
